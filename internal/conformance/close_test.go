@@ -4,10 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/libtas"
 	"repro/internal/protocol"
 	"repro/internal/resource"
-	"repro/internal/slowpath"
 )
 
 // establish runs a scripted passive open and returns the accepted
@@ -62,7 +62,7 @@ func gracefulActiveClose(t *testing.T, h *Harness, conn *libtas.Conn, p *Peer) (
 // retransmitted with backoff until the budget runs out, then the flow
 // is aborted with an RST so neither side hangs half-closed forever.
 func TestFinRetransmitBudgetExhaustion(t *testing.T) {
-	h := newHarness(t, slowpath.Config{MaxRetransmits: 2})
+	h := newHarness(t, config.Config{MaxRetransmits: 2})
 	conn, p := establish(t, h, 7020, 40020)
 
 	if err := conn.Close(); err != nil {
@@ -93,7 +93,7 @@ func TestFinRetransmitBudgetExhaustion(t *testing.T) {
 // peer's FIN, accept the late ACK of its own, and — having closed
 // first from its own point of view — pay the TIME_WAIT quarantine.
 func TestSimultaneousClose(t *testing.T) {
-	h := newHarness(t, slowpath.Config{})
+	h := newHarness(t, config.Config{})
 	conn, p := establish(t, h, 7021, 40021)
 
 	if err := conn.Close(); err != nil {
@@ -123,7 +123,7 @@ func TestSimultaneousClose(t *testing.T) {
 // segment with a re-announcement of the final state, and stays
 // quarantined (RFC 793 TIME-WAIT processing).
 func TestTimeWaitReAcksOldDuplicates(t *testing.T) {
-	h := newHarness(t, slowpath.Config{TimeWait: 5 * time.Second})
+	h := newHarness(t, config.Config{TimeWaitDuration: 5 * time.Second})
 	conn, p := establish(t, h, 7022, 40022)
 	finalSeq, finalAck := gracefulActiveClose(t, h, conn, p)
 	h.Drain()
@@ -148,7 +148,7 @@ func TestTimeWaitReAcksOldDuplicates(t *testing.T) {
 // TestTimeWaitRstDoesNotAssassinate: RFC 1337 — an RST against a
 // TIME_WAIT tuple must not cut the quarantine short.
 func TestTimeWaitRstDoesNotAssassinate(t *testing.T) {
-	h := newHarness(t, slowpath.Config{TimeWait: 5 * time.Second})
+	h := newHarness(t, config.Config{TimeWaitDuration: 5 * time.Second})
 	conn, p := establish(t, h, 7023, 40023)
 	gracefulActiveClose(t, h, conn, p)
 
@@ -163,7 +163,7 @@ func TestTimeWaitRstDoesNotAssassinate(t *testing.T) {
 // incarnation's final receive state reuses the tuple early (RFC 6191);
 // one at or below it is an old duplicate and draws only the re-ACK.
 func TestTimeWaitSynReuse(t *testing.T) {
-	h := newHarness(t, slowpath.Config{TimeWait: 5 * time.Second})
+	h := newHarness(t, config.Config{TimeWaitDuration: 5 * time.Second})
 	ctx := h.Stack.NewContext()
 	ln, err := ctx.Listen(7024)
 	if err != nil {
@@ -227,7 +227,7 @@ func TestTimeWaitSynReuse(t *testing.T) {
 // direction; the flow must be reclaimed quietly (no RST — the peer may
 // be alive, just uninterested) after FinWait2Timeout.
 func TestFinWait2Timeout(t *testing.T) {
-	h := newHarness(t, slowpath.Config{FinWait2Timeout: 80 * time.Millisecond})
+	h := newHarness(t, config.Config{FinWait2Timeout: 80 * time.Millisecond})
 	conn, p := establish(t, h, 7025, 40025)
 
 	if err := conn.Close(); err != nil {
@@ -265,7 +265,7 @@ func TestFinWait2Timeout(t *testing.T) {
 // TestTimeWaitExpiry: the 2MSL clock releases the quarantine entry and
 // its pool charge without any external stimulus.
 func TestTimeWaitExpiry(t *testing.T) {
-	h := newHarness(t, slowpath.Config{TimeWait: 60 * time.Millisecond})
+	h := newHarness(t, config.Config{TimeWaitDuration: 60 * time.Millisecond})
 	conn, p := establish(t, h, 7026, 40026)
 	gracefulActiveClose(t, h, conn, p)
 	if h.Gov.Used(resource.PoolTimeWait) != 1 {

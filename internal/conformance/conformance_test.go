@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/libtas"
 	"repro/internal/protocol"
 	"repro/internal/resource"
@@ -20,7 +21,7 @@ const expectIn = 3 * time.Second
 // exact sequence assertions on the SYN-ACK, then one payload each way
 // with cumulative-ack checks.
 func TestHandshakeAndDataExchange(t *testing.T) {
-	h := newHarness(t, slowpath.Config{})
+	h := newHarness(t, config.Config{})
 	ctx := h.Stack.NewContext()
 	ln, err := ctx.Listen(7001)
 	if err != nil {
@@ -54,7 +55,7 @@ func TestHandshakeAndDataExchange(t *testing.T) {
 // TestActiveOpenHandshake: the stack dials out; the scripted peer
 // answers the SYN and asserts the completing ACK, then data flows.
 func TestActiveOpenHandshake(t *testing.T) {
-	h := newHarness(t, slowpath.Config{})
+	h := newHarness(t, config.Config{})
 	ctx := h.Stack.NewContext()
 	p := h.NewPeer(40002, 0) // stack port learned from its SYN
 
@@ -91,7 +92,7 @@ func TestActiveOpenHandshake(t *testing.T) {
 // on an established connection must not disturb it; the stack answers
 // with a challenge ACK announcing its exact state.
 func TestSynOnEstablishedDrawsChallengeAck(t *testing.T) {
-	h := newHarness(t, slowpath.Config{})
+	h := newHarness(t, config.Config{})
 	ctx := h.Stack.NewContext()
 	ln, _ := ctx.Listen(7002)
 	p := h.NewPeer(40003, 7002)
@@ -118,7 +119,7 @@ func TestSynOnEstablishedDrawsChallengeAck(t *testing.T) {
 // window but not at RCV.NXT must not tear down; it draws a challenge
 // ACK and counts as a blind-RST drop.
 func TestBlindRstDrawsChallengeAck(t *testing.T) {
-	h := newHarness(t, slowpath.Config{})
+	h := newHarness(t, config.Config{})
 	ctx := h.Stack.NewContext()
 	ln, _ := ctx.Listen(7003)
 	p := h.NewPeer(40004, 7003)
@@ -145,7 +146,7 @@ func TestBlindRstDrawsChallengeAck(t *testing.T) {
 // teardown form — the flow dies, the app sees a reset error, and every
 // pool charge drains.
 func TestExactRstTearsDown(t *testing.T) {
-	h := newHarness(t, slowpath.Config{})
+	h := newHarness(t, config.Config{})
 	ctx := h.Stack.NewContext()
 	ln, _ := ctx.Listen(7004)
 	p := h.NewPeer(40005, 7004)
@@ -174,7 +175,7 @@ func TestExactRstTearsDown(t *testing.T) {
 // a keyed MAC and the slow path holds no half-open state; the
 // completing ACK alone reconstructs the connection and data flows.
 func TestSynCookieHandshake(t *testing.T) {
-	h := newHarness(t, slowpath.Config{SynCookies: slowpath.SynCookiesAlways})
+	h := newHarness(t, config.Config{SynCookies: slowpath.SynCookiesAlways})
 	ctx := h.Stack.NewContext()
 	ln, _ := ctx.Listen(7005)
 	p := h.NewPeer(40006, 7005)

@@ -21,6 +21,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
+	"repro/internal/congestion"
 	"repro/internal/fastpath"
 	"repro/internal/libtas"
 	"repro/internal/protocol"
@@ -58,28 +60,34 @@ type Harness struct {
 }
 
 // newHarness builds and starts a single-core stack under test. Zero
-// fields of scfg keep slowpath defaults, except the control interval
-// and payload buffers, which get conformance-friendly values.
-func newHarness(t *testing.T, scfg slowpath.Config) *Harness {
+// fields of cfg keep the service defaults, except the control interval
+// and payload buffers, which get conformance-friendly values. The
+// stack has no slow-path or core watchdog, and its flows start at the
+// same DCTCP rate in every script, so the segments a script sees do not
+// depend on those defaults.
+func newHarness(t *testing.T, cfg config.Config) *Harness {
 	t.Helper()
 	ip := protocol.MakeIPv4(10, 99, 0, 1)
 	nic := &captureNIC{ch: make(chan *protocol.Packet, 8192)}
-	eng := fastpath.NewEngine(nic, fastpath.Config{
-		LocalIP: ip, LocalMAC: protocol.MACForIPv4(ip), MaxCores: 1,
-	})
+	cfg.FastPathCores = 1
+	cfg.SlowPathTimeout, cfg.CoreTimeout = -1, -1
+	if cfg.ControlInterval == 0 {
+		cfg.ControlInterval = 2 * time.Millisecond
+	}
+	if cfg.RxBufSize == 0 {
+		cfg.RxBufSize = 64 << 10
+	}
+	if cfg.TxBufSize == 0 {
+		cfg.TxBufSize = 64 << 10
+	}
+	eng := fastpath.NewEngine(nic, ip, cfg, nil)
 	gov := resource.New(resource.Limits{})
 	eng.SetGovernor(gov)
-	if scfg.ControlInterval == 0 {
-		scfg.ControlInterval = 2 * time.Millisecond
-	}
-	if scfg.RxBufSize == 0 {
-		scfg.RxBufSize = 64 << 10
-	}
-	if scfg.TxBufSize == 0 {
-		scfg.TxBufSize = 64 << 10
-	}
-	scfg.Gov = gov
-	slow := slowpath.New(eng, scfg)
+	slow := slowpath.New(eng, cfg, gov, func() congestion.RateController {
+		cc := congestion.DefaultConfig(40e9)
+		cc.InitRate = 125e6
+		return congestion.NewRateDCTCP(cc)
+	})
 	eng.Start()
 	slow.Start()
 	stack := libtas.NewStack(eng, slow)

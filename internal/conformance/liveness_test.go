@@ -6,10 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/libtas"
 	"repro/internal/protocol"
 	"repro/internal/resource"
-	"repro/internal/slowpath"
 )
 
 // TestPersistProbeThenWindowReopen: the peer advertises a zero window
@@ -17,7 +17,7 @@ import (
 // probe rather than blast or give up. When the window reopens the
 // whole payload arrives intact — the stall was survival, not loss.
 func TestPersistProbeThenWindowReopen(t *testing.T) {
-	h := newHarness(t, slowpath.Config{
+	h := newHarness(t, config.Config{
 		PersistRTO:       20 * time.Millisecond,
 		MaxPersistProbes: 10,
 	})
@@ -75,7 +75,7 @@ func TestPersistProbeThenWindowReopen(t *testing.T) {
 // MaxPersistProbes unanswered probes the stack must abort with a
 // peer-dead verdict and return every resource.
 func TestPersistBudgetExhaustion(t *testing.T) {
-	h := newHarness(t, slowpath.Config{
+	h := newHarness(t, config.Config{
 		PersistRTO:       10 * time.Millisecond,
 		MaxPersistProbes: 3,
 	})
@@ -121,7 +121,7 @@ func TestPersistBudgetExhaustion(t *testing.T) {
 // probed below RCV.NXT (the classic garbage-byte keepalive) and each
 // answer resets the liveness verdict — the flow never aborts.
 func TestKeepaliveAnsweredKeepsFlowAlive(t *testing.T) {
-	h := newHarness(t, slowpath.Config{
+	h := newHarness(t, config.Config{
 		KeepaliveTime:     60 * time.Millisecond,
 		KeepaliveInterval: 20 * time.Millisecond,
 		KeepaliveProbes:   2,
@@ -162,7 +162,7 @@ func TestKeepaliveAnsweredKeepsFlowAlive(t *testing.T) {
 // by the governor's idle-reclaim — and the flow plus every pool charge
 // is returned.
 func TestKeepaliveDeadPeerReclaimed(t *testing.T) {
-	h := newHarness(t, slowpath.Config{
+	h := newHarness(t, config.Config{
 		KeepaliveTime:     40 * time.Millisecond,
 		KeepaliveInterval: 15 * time.Millisecond,
 		KeepaliveProbes:   2,

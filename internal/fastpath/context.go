@@ -97,7 +97,10 @@ type TxCmd struct {
 type Context struct {
 	ID int
 
-	rxq []*shmring.SPSC[Event] // per-core: fast path produces, app consumes
+	// rxq is multi-producer: besides the fast-path core, the slow path
+	// posts connection events (accept, connect, close, abort) onto the
+	// core-0 queue. The application side consumes.
+	rxq []*shmring.MPSC[Event]
 	txq []*shmring.MPSC[TxCmd] // per-core: app threads produce (many), fast path consumes
 
 	// Wakeup is a broadcast: Wake closes the current channel (releasing
@@ -130,7 +133,7 @@ type Context struct {
 func NewContext(id, cores, qcap int) *Context {
 	c := &Context{ID: id, wake: make(chan struct{})}
 	for i := 0; i < cores; i++ {
-		c.rxq = append(c.rxq, shmring.NewSPSC[Event](qcap))
+		c.rxq = append(c.rxq, shmring.NewMPSC[Event](qcap))
 		c.txq = append(c.txq, shmring.NewMPSC[TxCmd](qcap))
 	}
 	return c

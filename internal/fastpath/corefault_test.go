@@ -175,11 +175,7 @@ func TestStopBoundedStalledCore(t *testing.T) {
 // every steering decision lands on a core inside [0, MaxCores).
 func TestSetActiveCoresConcurrentTraffic(t *testing.T) {
 	nic := &syncNIC{}
-	e := NewEngine(nic, Config{
-		LocalIP:  protocol.MakeIPv4(10, 0, 0, 1),
-		LocalMAC: protocol.MACForIPv4(protocol.MakeIPv4(10, 0, 0, 1)),
-		MaxCores: 4,
-	})
+	e := NewEngine(nic, protocol.MakeIPv4(10, 0, 0, 1), rawConfig(4), nil)
 	e.Start()
 	defer e.Stop()
 	f := testFlow(e)

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/flowstate"
 	"repro/internal/protocol"
 	"repro/internal/resource"
@@ -49,64 +50,14 @@ const cycleSampleEvery = 64
 // cost is a per-core non-atomic increment.
 const rttSampleEvery = 64
 
-// Config parameterizes the fast-path engine.
-type Config struct {
-	LocalIP  protocol.IPv4
-	LocalMAC protocol.MAC
-
-	MaxCores     int           // fast-path cores created at init (§3.4)
-	RxRingSize   int           // per-core NIC receive ring entries
-	MSS          int           // payload bytes per segment
-	BurstBytes   float64       // rate-bucket burst capacity
-	BlockTimeout time.Duration // idle time before a core blocks (10ms)
-
-	// DisableOoo turns off the fast path's one-interval out-of-order
-	// buffering ("TAS simple recovery" in Figure 7): all out-of-order
-	// arrivals are dropped, forcing pure go-back-N. Ablation knob.
-	DisableOoo bool
-
-	// SlowPathTimeout is how long the slow-path heartbeat may go stale
-	// before the engine enters degraded mode: established flows keep
-	// their RX/TX service, but new SYNs are shed immediately and the
-	// application layer fails Connect/Listen fast. 0 disables the
-	// watchdog (raw-engine tests with no slow path attached).
-	SlowPathTimeout time.Duration
-
-	// ChallengeAckPerSec bounds RFC 5961 challenge-ACK emission across
-	// the whole stack instance (slow path and all fast-path cores
-	// share one limiter), so the blind-attack defense cannot be turned
-	// into an amplification primitive. 0 selects the default of 100;
-	// negative disables challenge ACKs entirely (drops stay silent).
-	ChallengeAckPerSec int
-
-	// CookieRotate is the SYN-cookie key-rotation period (0 selects
-	// tcp.DefaultCookieRotate). The jar lives on the engine — shared
-	// state — so key epochs survive a slow-path warm restart.
-	CookieRotate time.Duration
-
-	// Telemetry, when non-nil, enables per-core cycle accounting (batch
-	// section timing charged to rx/tx modules) on this engine. The flow
-	// flight recorder rides on Flow.Rec and needs no engine state.
-	Telemetry *telemetry.Telemetry
-}
-
-func (c *Config) fill() {
-	if c.MaxCores <= 0 {
-		c.MaxCores = 4
-	}
-	if c.RxRingSize <= 0 {
-		c.RxRingSize = 2048
-	}
-	if c.MSS <= 0 {
-		c.MSS = protocol.DefaultMSS
-	}
-	if c.BurstBytes <= 0 {
-		c.BurstBytes = 64 << 10
-	}
-	if c.BlockTimeout <= 0 {
-		c.BlockTimeout = 10 * time.Millisecond
-	}
-}
+const (
+	// rxRingSize is the per-core NIC receive ring capacity in packets.
+	rxRingSize = 2048
+	// burstBytes is the rate-bucket burst capacity.
+	burstBytes = 64 << 10
+	// blockTimeout is how long an idle core dozes before it blocks.
+	blockTimeout = 10 * time.Millisecond
+)
 
 // CoreStats counts one fast-path core's activity.
 type CoreStats struct {
@@ -174,8 +125,15 @@ type core struct {
 // the flow table, RSS steering, rate buckets, and the exception path to
 // the slow path.
 type Engine struct {
-	cfg Config
-	nic NIC
+	cfg      config.Config
+	localIP  protocol.IPv4
+	localMAC protocol.MAC
+	telem    *telemetry.Telemetry // nil when telemetry is off
+	nic      NIC
+
+	// blockTimeout is how long an idle core dozes before it blocks
+	// (tests shorten it before Start).
+	blockTimeout time.Duration
 
 	Table *flowstate.Table
 	RSS   *flowstate.RSS
@@ -255,35 +213,42 @@ type Engine struct {
 	stopOnce    sync.Once
 }
 
-// NewEngine builds the engine (cores are started by Start).
-func NewEngine(nic NIC, cfg Config) *Engine {
-	cfg.fill()
+// NewEngine builds the engine for the host at ip (cores are started by
+// Start). telem, when non-nil, enables per-core cycle accounting (batch
+// section timing charged to rx/tx modules); the flow flight recorder
+// rides on Flow.Rec and needs no engine state.
+func NewEngine(nic NIC, ip protocol.IPv4, cfg config.Config, telem *telemetry.Telemetry) *Engine {
+	cfg.SetDefaults()
 	e := &Engine{
-		cfg:       cfg,
-		nic:       nic,
-		Table:     flowstate.NewTable(),
-		RSS:       flowstate.NewRSS(),
-		Listeners: flowstate.NewListenerTable(),
-		TimeWait:  flowstate.NewTimeWaitTable(),
-		excq:      shmring.NewSPSC[*protocol.Packet](4096),
-		slowWake:  make(chan struct{}, 1),
-		start:     time.Now(),
-		watchStop: make(chan struct{}),
+		cfg:          cfg,
+		localIP:      ip,
+		localMAC:     protocol.MACForIPv4(ip),
+		telem:        telem,
+		nic:          nic,
+		blockTimeout: blockTimeout,
+		Table:        flowstate.NewTable(),
+		RSS:          flowstate.NewRSS(),
+		Listeners:    flowstate.NewListenerTable(),
+		TimeWait:     flowstate.NewTimeWaitTable(),
+		excq:         shmring.NewSPSC[*protocol.Packet](4096),
+		slowWake:     make(chan struct{}, 1),
+		start:        time.Now(),
+		watchStop:    make(chan struct{}),
 	}
-	e.Cookies = tcp.NewCookieJar(time.Now().UnixNano(), cfg.CookieRotate)
+	e.Cookies = tcp.NewCookieJar(time.Now().UnixNano(), tcp.DefaultCookieRotate)
 	if cfg.ChallengeAckPerSec >= 0 {
 		e.Challenge = tcp.NewAckLimiter(cfg.ChallengeAckPerSec)
 	}
-	if cfg.Telemetry != nil {
+	if telem != nil {
 		e.outageHist = telemetry.NewHistogram(telemetry.DurationBounds())
 	}
-	e.RSS.SetLimit(cfg.MaxCores)
+	e.RSS.SetLimit(cfg.FastPathCores)
 	e.contextsV.Store([]*Context(nil))
 	e.bucketsV.Store([]*Bucket(nil))
-	for i := 0; i < cfg.MaxCores; i++ {
+	for i := 0; i < cfg.FastPathCores; i++ {
 		e.cores = append(e.cores, &core{
 			idx:    i,
-			rxRing: shmring.NewMPSC[*protocol.Packet](cfg.RxRingSize),
+			rxRing: shmring.NewMPSC[*protocol.Packet](rxRingSize),
 			kicks:  shmring.NewMPSC[*flowstate.Flow](1024),
 			wake:   make(chan struct{}, 1),
 			kill:   make(chan struct{}),
@@ -293,8 +258,15 @@ func NewEngine(nic NIC, cfg Config) *Engine {
 	return e
 }
 
-// Config returns the engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
+// LocalIP returns the address the engine serves.
+func (e *Engine) LocalIP() protocol.IPv4 { return e.localIP }
+
+// LocalMAC returns the engine's link-layer address, derived from LocalIP.
+func (e *Engine) LocalMAC() protocol.MAC { return e.localMAC }
+
+// Telemetry returns the engine's telemetry (nil when off); the slow
+// path attached to the engine shares it.
+func (e *Engine) Telemetry() *telemetry.Telemetry { return e.telem }
 
 // NowMicros returns microseconds since engine start (TCP timestamp
 // clock).
@@ -488,11 +460,11 @@ func (e *Engine) AllocBucket() uint32 {
 		i := e.freeBkts[n-1]
 		e.freeBkts = e.freeBkts[:n-1]
 		ns := append([]*Bucket(nil), old...)
-		ns[i] = NewBucket(e.cfg.BurstBytes)
+		ns[i] = NewBucket(burstBytes)
 		e.bucketsV.Store(ns)
 		return i
 	}
-	e.bucketsV.Store(append(append([]*Bucket(nil), old...), NewBucket(e.cfg.BurstBytes)))
+	e.bucketsV.Store(append(append([]*Bucket(nil), old...), NewBucket(burstBytes)))
 	return uint32(len(old))
 }
 
@@ -578,11 +550,18 @@ func (e *Engine) PushTxCmd(ctx *Context, cmd TxCmd) bool {
 // must carry a known opcode, reference a flow that is actually
 // installed in the flow table with intact buffers, and claim a byte
 // count that could possibly be buffered. Anything else is dropped and
-// counted — never acted on, never a panic.
+// counted — never acted on, never a panic. A valid descriptor's flow
+// is returned locked: the byte-count check reads the buffer size, which
+// a concurrent resize (Grow, under the flow lock) replaces.
 func (e *Engine) validTxCmd(c *core, cmd TxCmd) bool {
 	f := cmd.Flow
-	if cmd.Op != OpTx || f == nil || f.RxBuf == nil || f.TxBuf == nil ||
-		int64(cmd.Bytes) > int64(f.TxBuf.Size()) || e.Table.Lookup(f.Key()) != f {
+	if cmd.Op != OpTx || f == nil || f.RxBuf == nil || f.TxBuf == nil || e.Table.Lookup(f.Key()) != f {
+		c.stats.BadDescDrop.Add(1)
+		return false
+	}
+	f.Lock()
+	if int64(cmd.Bytes) > int64(f.TxBuf.Size()) {
+		f.Unlock()
 		c.stats.BadDescDrop.Add(1)
 		return false
 	}
@@ -658,7 +637,7 @@ func (e *Engine) wakeCoreS(c *core) {
 
 // run is one fast-path core's main loop: poll NIC ring, slow-path
 // kicks, context TX queues, and rate-limited retries; block after
-// BlockTimeout of idleness (§3.4 adaptive blocking with notifications).
+// blockTimeout of idleness (§3.4 adaptive blocking with notifications).
 func (e *Engine) run(c *core) {
 	idleSince := time.Now()
 	var pktBatch [64]*protocol.Packet
@@ -671,7 +650,7 @@ func (e *Engine) run(c *core) {
 	// fast-path CPU and pushed echo RPC latency up ~50%. The sampled
 	// reads double as the publisher of the telemetry hub's cached
 	// coarse clock (flight-recorder timestamps).
-	telem := e.cfg.Telemetry
+	telem := e.telem
 	var loops uint32
 	var t0 int64
 	// The kill channel is captured once: ReviveCore installs a fresh
@@ -772,7 +751,7 @@ func (e *Engine) run(c *core) {
 			runtime.Gosched()
 			continue
 		}
-		if idle < e.cfg.BlockTimeout || len(c.pending) > 0 {
+		if idle < e.blockTimeout || len(c.pending) > 0 {
 			// Doze: the flow of packets has paused; stop burning the
 			// CPU other goroutines need but stay quick to resume.
 			time.Sleep(20 * time.Microsecond)
@@ -814,7 +793,6 @@ func (e *Engine) drainCtxTx(c *core, cmdBatch []TxCmd) int {
 			if !e.validTxCmd(c, cmd) {
 				continue
 			}
-			cmd.Flow.Lock()
 			e.transmit(c, cmd.Flow)
 			cmd.Flow.Unlock()
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/flowstate"
 	"repro/internal/protocol"
 	"repro/internal/shmring"
@@ -17,18 +18,21 @@ func (n *stubNIC) Output(p *protocol.Packet) { n.out = append(n.out, p) }
 
 func testEngine() (*Engine, *stubNIC) {
 	nic := &stubNIC{}
-	e := NewEngine(nic, Config{
-		LocalIP:  protocol.MakeIPv4(10, 0, 0, 1),
-		LocalMAC: protocol.MACForIPv4(protocol.MakeIPv4(10, 0, 0, 1)),
-		MaxCores: 2,
-	})
+	e := NewEngine(nic, protocol.MakeIPv4(10, 0, 0, 1), rawConfig(2), nil)
 	return e, nic
+}
+
+// rawConfig configures an engine tested without a slow path: cores
+// pinned, and no slow-path watchdog to declare the missing control
+// plane down.
+func rawConfig(cores int) config.Config {
+	return config.Config{FastPathCores: cores, SlowPathTimeout: -1}
 }
 
 func testFlow(e *Engine) *flowstate.Flow {
 	f := &flowstate.Flow{
 		Opaque:    7,
-		LocalIP:   e.cfg.LocalIP,
+		LocalIP:   e.localIP,
 		LocalPort: 80,
 		PeerIP:    protocol.MakeIPv4(10, 0, 0, 2),
 		PeerPort:  5000,
@@ -314,7 +318,7 @@ func TestExceptionsForwarded(t *testing.T) {
 	syn.Flags = protocol.FlagSYN
 	e.processRx(e.cores[0], syn)
 	unknown := &protocol.Packet{
-		SrcIP: protocol.MakeIPv4(9, 9, 9, 9), DstIP: e.cfg.LocalIP,
+		SrcIP: protocol.MakeIPv4(9, 9, 9, 9), DstIP: e.localIP,
 		SrcPort: 1, DstPort: 2, Flags: protocol.FlagACK,
 	}
 	e.processRx(e.cores[0], unknown)
@@ -469,7 +473,8 @@ func TestInputSteersByRSS(t *testing.T) {
 
 func TestInputDropsOnFullRing(t *testing.T) {
 	nic := &stubNIC{}
-	e := NewEngine(nic, Config{LocalIP: 1, MaxCores: 1, RxRingSize: 2})
+	e := NewEngine(nic, 1, rawConfig(1), nil)
+	e.cores[0].rxRing = shmring.NewMPSC[*protocol.Packet](2)
 	f := testFlow(e)
 	for i := 0; i < 5; i++ {
 		e.Input(dataPkt(f, 5000, []byte("x")))
@@ -484,12 +489,8 @@ func TestInputDropsOnFullRing(t *testing.T) {
 // them.
 func TestEngineLifecycle(t *testing.T) {
 	nic := &syncNIC{}
-	e := NewEngine(nic, Config{
-		LocalIP:      protocol.MakeIPv4(10, 0, 0, 1),
-		LocalMAC:     protocol.MACForIPv4(protocol.MakeIPv4(10, 0, 0, 1)),
-		MaxCores:     2,
-		BlockTimeout: time.Millisecond,
-	})
+	e := NewEngine(nic, protocol.MakeIPv4(10, 0, 0, 1), rawConfig(2), nil)
+	e.blockTimeout = time.Millisecond
 	f := testFlow(e)
 	ctx := NewContext(0, 2, 256)
 	e.RegisterContext(ctx)
@@ -510,7 +511,7 @@ func TestEngineLifecycle(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	blocked := e.cores[0].stats.Blocks.Load() + e.cores[1].stats.Blocks.Load()
 	if blocked == 0 {
-		t.Fatal("idle cores should block after BlockTimeout")
+		t.Fatal("idle cores should block after blockTimeout")
 	}
 	before := nic.count()
 	e.Input(dataPkt(f, 5006, []byte("wake")))

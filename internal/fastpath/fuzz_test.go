@@ -130,7 +130,7 @@ func TestDescriptorQueueFuzz(t *testing.T) {
 				cmd = TxCmd{Op: OpTx, Flow: nil, Bytes: uint32(rng.Intn(1 << 20))}
 			case 3: // fabricated flow not in the table
 				g := &flowstate.Flow{
-					LocalIP:   e.cfg.LocalIP,
+					LocalIP:   e.localIP,
 					LocalPort: uint16(rng.Intn(1 << 16)),
 					PeerIP:    protocol.MakeIPv4(203, 0, 113, byte(rng.Intn(256))),
 					PeerPort:  uint16(rng.Intn(1 << 16)),
@@ -191,8 +191,8 @@ func TestStreamIntegrityUnderReorderAndLoss(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		// Two engines wired back-to-back through lossy/reordering queues.
 		nicA, nicB := &stubNIC{}, &stubNIC{}
-		ea := NewEngine(nicA, Config{LocalIP: protocol.MakeIPv4(10, 0, 0, 1), MaxCores: 1})
-		eb := NewEngine(nicB, Config{LocalIP: protocol.MakeIPv4(10, 0, 0, 2), MaxCores: 1})
+		ea := NewEngine(nicA, protocol.MakeIPv4(10, 0, 0, 1), rawConfig(1), nil)
+		eb := NewEngine(nicB, protocol.MakeIPv4(10, 0, 0, 2), rawConfig(1), nil)
 		fa := &testFlowPair{}
 		fa.wire(t, ea, eb)
 

@@ -71,11 +71,11 @@ func TestBucketSlotReuse(t *testing.T) {
 func TestSynShedUnderExcqPressure(t *testing.T) {
 	e, _ := testEngine()
 	syn := &protocol.Packet{
-		SrcIP: protocol.MakeIPv4(10, 0, 0, 2), DstIP: e.cfg.LocalIP,
+		SrcIP: protocol.MakeIPv4(10, 0, 0, 2), DstIP: e.localIP,
 		SrcPort: 5000, DstPort: 80, Flags: protocol.FlagSYN, Seq: 1,
 	}
 	fin := &protocol.Packet{
-		SrcIP: protocol.MakeIPv4(10, 0, 0, 2), DstIP: e.cfg.LocalIP,
+		SrcIP: protocol.MakeIPv4(10, 0, 0, 2), DstIP: e.localIP,
 		SrcPort: 5001, DstPort: 80, Flags: protocol.FlagFIN | protocol.FlagACK, Seq: 1,
 	}
 

@@ -137,7 +137,7 @@ func (e *Engine) processAck(c *core, f *flowstate.Flow, pkt *protocol.Packet) {
 				// Sampled histogram observation (1-in-rttSampleEvery ACKs,
 				// like the cycle sampling): two striped atomic adds per
 				// sample keeps the observatory under the overhead gate.
-				if telem := e.cfg.Telemetry; telem != nil {
+				if telem := e.telem; telem != nil {
 					c.rttTicks++
 					if c.rttTicks&(rttSampleEvery-1) == 0 {
 						telem.RTT.Observe(uint64(f.RTTEst), c.idx)
@@ -278,7 +278,7 @@ func (e *Engine) processData(c *core, f *flowstate.Flow, pkt *protocol.Packet) *
 // estimation). Caller holds the flow lock.
 func (e *Engine) buildAck(f *flowstate.Flow, data *protocol.Packet) *protocol.Packet {
 	ack := &protocol.Packet{
-		SrcMAC: e.cfg.LocalMAC, DstMAC: f.PeerMAC,
+		SrcMAC: e.localMAC, DstMAC: f.PeerMAC,
 		SrcIP: f.LocalIP, DstIP: f.PeerIP,
 		SrcPort: f.LocalPort, DstPort: f.PeerPort,
 		Flags:  protocol.FlagACK,
@@ -305,7 +305,7 @@ func (e *Engine) buildAck(f *flowstate.Flow, data *protocol.Packet) *protocol.Pa
 func (e *Engine) SendWindowUpdate(f *flowstate.Flow) {
 	f.Lock()
 	pkt := &protocol.Packet{
-		SrcMAC: e.cfg.LocalMAC, DstMAC: f.PeerMAC,
+		SrcMAC: e.localMAC, DstMAC: f.PeerMAC,
 		SrcIP: f.LocalIP, DstIP: f.PeerIP,
 		SrcPort: f.LocalPort, DstPort: f.PeerPort,
 		Flags:  protocol.FlagACK,

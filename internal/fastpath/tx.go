@@ -29,7 +29,7 @@ func (e *Engine) transmit(c *core, f *flowstate.Flow) {
 		if avail <= 0 {
 			return // window-limited; the next window update resumes transmission
 		}
-		n := e.cfg.MSS
+		n := protocol.DefaultMSS
 		if f.MSSCap != 0 && int(f.MSSCap) < n {
 			n = int(f.MSSCap)
 		}
@@ -54,7 +54,7 @@ func (e *Engine) transmit(c *core, f *flowstate.Flow) {
 		payload := make([]byte, n)
 		f.TxBuf.ReadAt(f.TxBuf.Tail()+f.TxSent, payload)
 		pkt := &protocol.Packet{
-			SrcMAC: e.cfg.LocalMAC, DstMAC: f.PeerMAC,
+			SrcMAC: e.localMAC, DstMAC: f.PeerMAC,
 			SrcIP: f.LocalIP, DstIP: f.PeerIP,
 			SrcPort: f.LocalPort, DstPort: f.PeerPort,
 			Flags:   protocol.FlagACK | protocol.FlagPSH,

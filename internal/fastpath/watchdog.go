@@ -95,11 +95,13 @@ func (e *Engine) watchSlowpath() {
 		case !stale && e.degraded.Load():
 			dur := time.Now().UnixNano() - e.outageStart.Load()
 			e.outageNanos.Add(dur)
-			e.degraded.Store(false)
 			if e.outageHist != nil {
 				e.outageHist.Observe(float64(dur) / 1e9)
 			}
 			e.recordTransition(telemetry.FERecovered, uint64(dur))
+			// Cleared last: whoever sees the recovery sees the finished
+			// outage in the counters, histogram and flight ring.
+			e.degraded.Store(false)
 		}
 	}
 }
@@ -107,7 +109,7 @@ func (e *Engine) watchSlowpath() {
 // recordTransition logs a degraded-mode transition on the synthetic
 // slow-path flight ring (aux = outage nanos for FERecovered).
 func (e *Engine) recordTransition(kind telemetry.FlowEventKind, aux uint64) {
-	if telem := e.cfg.Telemetry; telem != nil {
+	if telem := e.telem; telem != nil {
 		telem.Recorder.Ring(slowpathRingKey).Record(kind, 0, 0, 0, aux)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/protocol"
 	"repro/internal/telemetry"
 )
@@ -15,13 +16,8 @@ import (
 func TestWatchdogDegradedTransitions(t *testing.T) {
 	nic := &stubNIC{}
 	telem := telemetry.New(telemetry.Config{Enabled: true}, 1)
-	e := NewEngine(nic, Config{
-		LocalIP:         protocol.MakeIPv4(10, 0, 0, 1),
-		LocalMAC:        protocol.MACForIPv4(protocol.MakeIPv4(10, 0, 0, 1)),
-		MaxCores:        1,
-		SlowPathTimeout: 20 * time.Millisecond,
-		Telemetry:       telem,
-	})
+	e := NewEngine(nic, protocol.MakeIPv4(10, 0, 0, 1),
+		config.Config{FastPathCores: 1, SlowPathTimeout: 20 * time.Millisecond}, telem)
 	e.Start()
 	defer e.Stop()
 
@@ -86,11 +82,11 @@ func TestDegradedShedsSynsKeepsQueueBounded(t *testing.T) {
 	e.degraded.Store(true)
 
 	syn := &protocol.Packet{
-		SrcIP: protocol.MakeIPv4(10, 0, 0, 2), DstIP: e.cfg.LocalIP,
+		SrcIP: protocol.MakeIPv4(10, 0, 0, 2), DstIP: e.localIP,
 		SrcPort: 5000, DstPort: 80, Flags: protocol.FlagSYN, Seq: 1,
 	}
 	fin := &protocol.Packet{
-		SrcIP: protocol.MakeIPv4(10, 0, 0, 2), DstIP: e.cfg.LocalIP,
+		SrcIP: protocol.MakeIPv4(10, 0, 0, 2), DstIP: e.localIP,
 		SrcPort: 5001, DstPort: 80, Flags: protocol.FlagFIN | protocol.FlagACK, Seq: 1,
 	}
 

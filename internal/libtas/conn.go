@@ -88,6 +88,15 @@ func (cn *Conn) resetErr() error {
 	return ErrReset
 }
 
+// reclaimedErr is the error for a send whose transmit buffer the reaper
+// reclaimed: the buffer refuses writes once the flow is torn down.
+func (cn *Conn) reclaimedErr() error {
+	if cn.ctx.fp.Dead() {
+		return ErrAppDead
+	}
+	return cn.resetErr()
+}
+
 // txHeadroom returns how many bytes a send may append to the transmit
 // buffer right now: the free space, further bounded by the governor's
 // per-flow grant while the degradation ladder's TX clamp (rung 3) is
@@ -159,8 +168,9 @@ func (cn *Conn) Send(p []byte, timeout time.Duration) (int, error) {
 		if n > free {
 			n = free
 		}
-		if n > 0 {
-			f.TxBuf.Write(p[sent : sent+n])
+		if n > 0 && !f.TxBuf.Write(p[sent:sent+n]) {
+			f.Unlock()
+			return sent, cn.reclaimedErr()
 		}
 		f.Unlock()
 		if n > 0 {
@@ -242,8 +252,9 @@ func (cn *Conn) SendNoWait(p []byte) (int, error) {
 	if n > free {
 		n = free
 	}
-	if n > 0 {
-		f.TxBuf.Write(p[:n])
+	if n > 0 && !f.TxBuf.Write(p[:n]) {
+		f.Unlock()
+		return 0, cn.reclaimedErr()
 	}
 	f.Unlock()
 	if n == 0 {

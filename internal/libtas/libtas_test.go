@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/fabric"
 	"repro/internal/fastpath"
 	"repro/internal/protocol"
@@ -18,8 +19,10 @@ func newStackPair(t *testing.T) (*Stack, *Stack, *fabric.Fabric) {
 	mk := func(ip protocol.IPv4) *Stack {
 		var eng *fastpath.Engine
 		nic := fab.Attach(ip, func(p *protocol.Packet) { eng.Input(p) })
-		eng = fastpath.NewEngine(nic, fastpath.Config{LocalIP: ip, LocalMAC: protocol.MACForIPv4(ip), MaxCores: 2})
-		sp := slowpath.New(eng, slowpath.Config{})
+		// Two cores, and the watchdogs of a raw stack pair stay off.
+		cfg := config.Config{FastPathCores: 2, SlowPathTimeout: -1, CoreTimeout: -1}
+		eng = fastpath.NewEngine(nic, ip, cfg, nil)
+		sp := slowpath.New(eng, cfg, nil, nil)
 		eng.Start()
 		sp.Start()
 		t.Cleanup(func() { sp.Stop(); eng.Stop() })
@@ -86,6 +89,27 @@ func TestRecvTimeout(t *testing.T) {
 	}
 	if time.Since(start) < 40*time.Millisecond {
 		t.Fatal("returned before the deadline")
+	}
+}
+
+// TestSendOnReclaimedBuffer: once the reaper has reclaimed a flow's
+// transmit buffer, the buffer refuses writes, and Send and SendNoWait
+// must report the torn-down flow instead of counting the refused bytes
+// as sent (a sender of a reaped app would otherwise spin forever).
+func TestSendOnReclaimedBuffer(t *testing.T) {
+	s1, s2, _ := newStackPair(t)
+	ln, _ := s2.NewContext().Listen(82)
+	go ln.Accept(5 * time.Second)
+	c, err := s1.NewContext().Dial(protocol.MakeIPv4(10, 0, 0, 2), 82, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Flow().TxBuf.Reclaim()
+	if n, err := c.Send(make([]byte, 64), time.Second); err != ErrReset || n != 0 {
+		t.Fatalf("Send = %d, %v; want 0, ErrReset", n, err)
+	}
+	if n, err := c.SendNoWait(make([]byte, 64)); err != ErrReset || n != 0 {
+		t.Fatalf("SendNoWait = %d, %v; want 0, ErrReset", n, err)
 	}
 }
 

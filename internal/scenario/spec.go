@@ -697,21 +697,15 @@ func (s *Spec) validateFaults() error {
 	return nil
 }
 
-// validateQuotas rejects inconsistent resource-governor settings the
-// same way the service constructor would, so a bad spec fails at parse
-// time instead of mid-run.
+// validateQuotas rejects the server config the service constructor
+// would reject (inconsistent resource-governor settings, an unknown
+// congestion control), so a bad spec fails at parse time instead of
+// mid-run. Every client shares the server's congestion control and
+// carries no governor limits, so the server config covers them.
 func (s *Spec) validateQuotas() error {
 	t := s.Topology
-	lim := resource.Limits{
-		PayloadBytes:    t.MaxPayloadBytes,
-		Flows:           int64(t.MaxFlows),
-		HalfOpen:        int64(t.MaxHalfOpen),
-		AppFlows:        int64(t.AppMaxFlows),
-		AppPayloadBytes: t.AppMaxPayloadBytes,
-		EngagePct:       t.PressureEngagePct,
-		ReleasePct:      t.PressureReleasePct,
-	}
-	if err := lim.Validate(); err != nil {
+	cfg := baseConfig(t, t.ServerCores, true, 0)
+	if err := cfg.Validate(); err != nil {
 		return specErr(ErrBadSpec, "topology", "%v", err)
 	}
 	if t.RxBufBytes < 0 || t.TxBufBytes < 0 {

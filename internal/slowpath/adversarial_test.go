@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/fabric"
 	"repro/internal/fastpath"
 	"repro/internal/protocol"
@@ -19,8 +20,8 @@ import (
 func TestSynCookieHandshakeEndToEnd(t *testing.T) {
 	fab := fabric.New()
 	ipA, ipB := protocol.MakeIPv4(10, 0, 0, 1), protocol.MakeIPv4(10, 0, 0, 2)
-	a := newNode(t, fab, ipA, Config{})
-	b := newNode(t, fab, ipB, Config{SynCookies: SynCookiesAlways})
+	a := newNode(t, fab, ipA, config.Config{})
+	b := newNode(t, fab, ipB, config.Config{SynCookies: SynCookiesAlways})
 	if err := b.sp.Listen(80, 0, 42); err != nil {
 		t.Fatal(err)
 	}
@@ -51,8 +52,8 @@ func TestSynCookieHandshakeEndToEnd(t *testing.T) {
 	if fb.MSSCap == 0 {
 		t.Fatal("cookie-reconstructed flow has no MSS cap")
 	}
-	if fb.MSSCap > uint16(a.eng.Config().MSS) {
-		t.Fatalf("MSSCap %d exceeds peer MSS %d", fb.MSSCap, a.eng.Config().MSS)
+	if fb.MSSCap > uint16(protocol.DefaultMSS) {
+		t.Fatalf("MSSCap %d exceeds peer MSS %d", fb.MSSCap, protocol.DefaultMSS)
 	}
 	// Sequence numbers line up exactly as in a stateful handshake.
 	fa := evA.Flow
@@ -86,8 +87,8 @@ func TestSynCookieHandshakeEndToEnd(t *testing.T) {
 func TestSynFloodEngagesCookiesAndLegitClientConnects(t *testing.T) {
 	fab := fabric.New()
 	ipA, ipB := protocol.MakeIPv4(10, 0, 0, 1), protocol.MakeIPv4(10, 0, 0, 2)
-	a := newNode(t, fab, ipA, Config{})
-	b := newNode(t, fab, ipB, Config{ListenBacklog: 32})
+	a := newNode(t, fab, ipA, config.Config{})
+	b := newNode(t, fab, ipB, config.Config{ListenBacklog: 32})
 	if err := b.sp.Listen(80, 0, 42); err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +144,8 @@ func TestSynFloodEngagesCookiesAndLegitClientConnects(t *testing.T) {
 func TestBlindRstRejectedInWindowChallenged(t *testing.T) {
 	fab := fabric.New()
 	ipA, ipB := protocol.MakeIPv4(10, 0, 0, 1), protocol.MakeIPv4(10, 0, 0, 2)
-	a := newNode(t, fab, ipA, Config{})
-	b := newNode(t, fab, ipB, Config{})
+	a := newNode(t, fab, ipA, config.Config{})
+	b := newNode(t, fab, ipB, config.Config{})
 	f, _ := establish(t, a, b, ipB)
 
 	var challenges atomic.Int64
@@ -345,8 +346,8 @@ func TestDropHalfNeverTouchesListenerFromActiveOpen(t *testing.T) {
 func TestEstablishedSynDrawsChallengeNotReset(t *testing.T) {
 	fab := fabric.New()
 	ipA, ipB := protocol.MakeIPv4(10, 0, 0, 1), protocol.MakeIPv4(10, 0, 0, 2)
-	a := newNode(t, fab, ipA, Config{})
-	b := newNode(t, fab, ipB, Config{})
+	a := newNode(t, fab, ipA, config.Config{})
+	b := newNode(t, fab, ipB, config.Config{})
 	f, _ := establish(t, a, b, ipB)
 
 	a.eng.Input(&protocol.Packet{
@@ -369,8 +370,8 @@ func TestEstablishedSynDrawsChallengeNotReset(t *testing.T) {
 func TestStripedDialsConcurrent(t *testing.T) {
 	fab := fabric.New()
 	ipA, ipB := protocol.MakeIPv4(10, 0, 0, 1), protocol.MakeIPv4(10, 0, 0, 2)
-	a := newNode(t, fab, ipA, Config{})
-	b := newNode(t, fab, ipB, Config{Stripes: 8})
+	a := newNode(t, fab, ipA, config.Config{})
+	b := newNode(t, fab, ipB, config.Config{HandshakeStripes: 8})
 	const listeners = 8
 	for p := 0; p < listeners; p++ {
 		if err := b.sp.Listen(uint16(7000+p), 0, uint64(p)); err != nil {

@@ -70,7 +70,7 @@ func (s *Slowpath) handleSyn(key protocol.FlowKey, pkt *protocol.Packet) {
 			// old duplicate — recycle the quarantine early and open the
 			// new incarnation.
 			if s.eng.TimeWait.Remove(key) {
-				if g := s.cfg.Gov; g != nil {
+				if g := s.gov; g != nil {
 					g.Release(resource.PoolTimeWait, 1)
 				}
 			}
@@ -153,12 +153,12 @@ func (s *Slowpath) handleSyn(key protocol.FlowKey, pkt *protocol.Packet) {
 
 func (s *Slowpath) sendCtlSynAck(key protocol.FlowKey, iss, ack uint32) {
 	pkt := &protocol.Packet{
-		SrcMAC: s.eng.Config().LocalMAC,
+		SrcMAC: s.eng.LocalMAC(),
 		SrcIP:  key.LocalIP, DstIP: key.RemoteIP,
 		SrcPort: key.LocalPort, DstPort: key.RemotePort,
 		Flags: protocol.FlagSYN | protocol.FlagACK, Seq: iss, Ack: ack,
 		Window: uint16(s.cfg.RxBufSize / fastpath.WindowUnit),
-		MSSOpt: uint16(s.eng.Config().MSS),
+		MSSOpt: uint16(protocol.DefaultMSS),
 		HasTS:  true, TSVal: s.eng.NowMicros(),
 		ECN: protocol.ECNECT0,
 	}
@@ -321,7 +321,7 @@ func (s *Slowpath) completePassive(h *halfOpen, pkt *protocol.Packet) {
 		// Mirror the accept-backlog occupancy into the governor; the
 		// matching release happens where pending drains — libtas Accept,
 		// or the reaper tearing a listener down.
-		if g := s.cfg.Gov; g != nil {
+		if g := s.gov; g != nil {
 			g.Charge(resource.PoolAccept, 1)
 		}
 	}
@@ -337,14 +337,14 @@ func (s *Slowpath) completePassive(h *halfOpen, pkt *protocol.Packet) {
 // (born is zero) — the stateless path deliberately keeps no state to
 // timestamp — and are skipped.
 func (s *Slowpath) observeHandshake(h *halfOpen) {
-	if s.cfg.Telemetry == nil || h.born.IsZero() {
+	if s.telem == nil || h.born.IsZero() {
 		return
 	}
 	us := time.Since(h.born).Microseconds()
 	if us < 0 {
 		us = 0
 	}
-	s.cfg.Telemetry.Handshake.Observe(uint64(us), int(h.key.LocalPort))
+	s.telem.Handshake.Observe(uint64(us), int(h.key.LocalPort))
 }
 
 // teardownUndeliverable aborts a just-installed flow whose accept event
@@ -374,7 +374,7 @@ func (s *Slowpath) teardownUndeliverable(f *flowstate.Flow) {
 // the shared flow table, which is exactly the state that survives a
 // slow-path crash and warm restart.
 func (s *Slowpath) admitFlow(ctxID uint16) error {
-	g := s.cfg.Gov
+	g := s.gov
 	if g == nil {
 		return nil
 	}
@@ -405,7 +405,7 @@ func (s *Slowpath) reclaimFlowResources(f *flowstate.Flow) {
 		f.TxBuf.Reclaim()
 	}
 	s.eng.FreeBucket(f.Bucket)
-	if g := s.cfg.Gov; g != nil {
+	if g := s.gov; g != nil {
 		g.ReleaseFlow(uint32(f.Context), payload)
 	}
 }
@@ -413,7 +413,7 @@ func (s *Slowpath) reclaimFlowResources(f *flowstate.Flow) {
 // chargeTimers adjusts the governor's FIN-retransmission timer pool
 // (pressure accounting only; the pool is never admission-checked).
 func (s *Slowpath) chargeTimers(n int64) {
-	if g := s.cfg.Gov; g != nil {
+	if g := s.gov; g != nil {
 		g.Charge(resource.PoolTimers, n)
 	}
 }
@@ -437,12 +437,12 @@ func (s *Slowpath) installFlow(key protocol.FlowKey, h *halfOpen, peerISS uint32
 		TxBuf:     shmring.NewPayloadBuffer(s.cfg.TxBufSize),
 	}
 	f.Bucket = s.eng.AllocBucket()
-	ctrl := s.cfg.NewController()
+	ctrl := s.newCtrl()
 	s.eng.Bucket(f.Bucket).SetRate(ctrl.Rate())
-	if s.cfg.Telemetry != nil {
+	if s.telem != nil {
 		// Adopt the handshake-phase ring (keyed by the same 4-tuple) so
 		// the flow's trace runs SYN through reap.
-		f.Rec = s.cfg.Telemetry.Recorder.Ring(key.String())
+		f.Rec = s.telem.Recorder.Ring(key.String())
 		f.Rec.Record(telemetry.FEEstablished, f.SeqNo, f.AckNo, 0, 0)
 	}
 	// Stamp activity at birth so the idle-reclaim rung never sees a
@@ -467,7 +467,7 @@ func (s *Slowpath) handleFin(key protocol.FlowKey, pkt *protocol.Packet) {
 			// Retransmitted peer FIN against TIME_WAIT: our final ACK was
 			// lost. Re-ack and restart the 2MSL clock (RFC 793).
 			s.sendCtl(key, protocol.FlagACK, tw.FinalSeq, tw.FinalAck, false)
-			s.eng.TimeWait.Extend(key, s.eng.NowNanos()+s.cfg.TimeWait.Nanoseconds())
+			s.eng.TimeWait.Extend(key, s.eng.NowNanos()+s.cfg.TimeWaitDuration.Nanoseconds())
 		}
 		return
 	}
@@ -856,7 +856,7 @@ func (s *Slowpath) controlLoop() {
 		}
 
 		// Retransmission timeout: unacknowledged data with no progress
-		// for StallIntervals control intervals. The wait must also cover
+		// for stallIntervals control intervals. The wait must also cover
 		// several RTTs and several packet intervals at the current rate
 		// — at low rates whole control intervals legitimately pass
 		// without an ack, and declaring those stalls would collapse the
@@ -864,12 +864,12 @@ func (s *Slowpath) controlLoop() {
 		var timeouts uint32
 		if outstanding > 0 && una == e.lastUna && ackB == 0 {
 			e.stallTicks++
-			needWait := time.Duration(s.cfg.StallIntervals) * s.cfg.ControlInterval
+			needWait := time.Duration(stallIntervals) * s.cfg.ControlInterval
 			if w := 8 * time.Duration(rtt); w > needWait {
 				needWait = w
 			}
 			if r := e.ctrl.Rate(); r > 0 {
-				if w := time.Duration(4 * float64(s.eng.Config().MSS) / r * 1e9); w > needWait {
+				if w := time.Duration(4 * float64(protocol.DefaultMSS) / r * 1e9); w > needWait {
 					needWait = w
 				}
 			}
@@ -884,7 +884,7 @@ func (s *Slowpath) controlLoop() {
 				bo = 6
 			}
 			needWait <<= uint(bo)
-			if e.stallTicks >= s.cfg.StallIntervals &&
+			if e.stallTicks >= stallIntervals &&
 				time.Duration(e.stallTicks)*s.cfg.ControlInterval >= needWait {
 				e.stallTicks = 0
 				e.consecTimeouts++
@@ -951,7 +951,7 @@ func (s *Slowpath) controlLoop() {
 }
 
 // scaleLoop adjusts the number of active fast-path cores to the load
-// (§3.4): >RemoveIdle aggregate idle cores -> remove one; <AddIdle ->
+// (§3.4): >removeIdle aggregate idle cores -> remove one; <addIdle ->
 // add one. Failed cores contribute no idle capacity — a dead goroutine
 // reports 0 utilization, and counting that as a spare core would make
 // the monitor scale down right after a failure, shrinking the surviving
@@ -967,9 +967,9 @@ func (s *Slowpath) scaleLoop() {
 		idle += 1 - s.eng.Utilization(i)
 	}
 	switch {
-	case idle > s.cfg.RemoveIdle && active > 1:
+	case idle > removeIdle && active > 1:
 		s.eng.SetActiveCores(active - 1)
-	case idle < s.cfg.AddIdle && active < s.eng.MaxCores():
+	case idle < addIdle && active < s.eng.MaxCores():
 		s.eng.SetActiveCores(active + 1)
 	}
 }

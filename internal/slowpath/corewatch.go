@@ -122,7 +122,7 @@ func (s *Slowpath) coreSweep(now time.Time) {
 // flows to the surviving cores.
 func (s *Slowpath) failCore(i int) {
 	var t0 int64
-	telem := s.cfg.Telemetry
+	telem := s.telem
 	if telem != nil {
 		t0 = telem.RefreshNow()
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/fabric"
 	"repro/internal/fastpath"
 	"repro/internal/flowstate"
@@ -20,14 +21,15 @@ func newCoreWatchNode(t *testing.T, coreTimeout time.Duration) (*fastpath.Engine
 	ip := protocol.MakeIPv4(10, 0, 0, 1)
 	var eng *fastpath.Engine
 	nic := fab.Attach(ip, func(p *protocol.Packet) { eng.Input(p) })
-	eng = fastpath.NewEngine(nic, fastpath.Config{
-		LocalIP: ip, LocalMAC: protocol.MACForIPv4(ip), MaxCores: 2,
-	})
-	sp := New(eng, Config{
-		ControlInterval: time.Millisecond,
-		CoreTimeout:     coreTimeout,
-		DisableScaling:  true,
-	})
+	cfg := config.Config{
+		FastPathCores:      2,
+		ControlInterval:    time.Millisecond,
+		SlowPathTimeout:    -1,
+		CoreTimeout:        coreTimeout,
+		DisableCoreScaling: true,
+	}
+	eng = fastpath.NewEngine(nic, ip, cfg, nil)
+	sp := New(eng, cfg, nil, nil)
 	eng.Start()
 	eng.SetActiveCores(2)
 	sp.Start()
@@ -39,7 +41,7 @@ func newCoreWatchNode(t *testing.T, coreTimeout time.Duration) (*fastpath.Engine
 // entry, as an established connection mid-transfer would have.
 func installWatchFlow(eng *fastpath.Engine, sp *Slowpath) *flowstate.Flow {
 	f := &flowstate.Flow{
-		LocalIP: eng.Config().LocalIP, LocalPort: 80,
+		LocalIP: eng.LocalIP(), LocalPort: 80,
 		PeerIP: protocol.MakeIPv4(10, 0, 0, 2), PeerPort: 5000,
 		PeerMAC: protocol.MACForIPv4(protocol.MakeIPv4(10, 0, 0, 2)),
 		SeqNo:   1500, AckNo: 5000, Window: 64, TxSent: 500,
@@ -49,7 +51,7 @@ func installWatchFlow(eng *fastpath.Engine, sp *Slowpath) *flowstate.Flow {
 	f.Bucket = eng.AllocBucket()
 	eng.Table.Insert(f)
 	sp.mu.Lock()
-	sp.cc[f] = &ccEntry{ctrl: sp.cfg.NewController(), lastUna: 1500, stallTicks: 3, consecTimeouts: 2}
+	sp.cc[f] = &ccEntry{ctrl: sp.newCtrl(), lastUna: 1500, stallTicks: 3, consecTimeouts: 2}
 	sp.mu.Unlock()
 	return f
 }
@@ -189,12 +191,13 @@ func TestCoreWatchdogSparesLastCore(t *testing.T) {
 	}
 }
 
-// TestCoreWatchdogDisabled: CoreTimeout 0 turns the watchdog off — a
-// dead core is never declared failed (raw-engine compatibility).
+// TestCoreWatchdogDisabled: a negative CoreTimeout turns the watchdog
+// off — a dead core is never declared failed. The wait is twice the
+// default timeout, so a watchdog left on would have fired.
 func TestCoreWatchdogDisabled(t *testing.T) {
-	eng, sp := newCoreWatchNode(t, 0)
+	eng, sp := newCoreWatchNode(t, -1)
 	eng.KillCore(1)
-	time.Sleep(400 * time.Millisecond)
+	time.Sleep(time.Second)
 	if c := sp.Counters().CoreFailures; c != 0 {
 		t.Fatalf("disabled watchdog declared %d failures", c)
 	}
@@ -215,7 +218,7 @@ func TestCoreWatchdogSurvivesWarmRestart(t *testing.T) {
 
 	// Crash and warm-restart the slow path on the same engine.
 	sp.Kill()
-	ns := New(eng, sp.cfg)
+	ns := New(eng, sp.cfg, sp.gov, sp.newCtrl)
 	ns.AdoptCounters(sp.Counters())
 	ns.Recover()
 	ns.Start()

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/fabric"
 	"repro/internal/fastpath"
 	"repro/internal/flowstate"
@@ -32,8 +33,8 @@ func waitCtlEvent(t *testing.T, ctx *fastpath.Context, timeout time.Duration) fa
 
 // fastCfg returns a config with aggressive failure-handling timers so
 // the tests bound total runtime.
-func fastCfg() Config {
-	return Config{
+func fastCfg() config.Config {
+	return config.Config{
 		HandshakeRTO:     10 * time.Millisecond,
 		HandshakeRetries: 2,
 		MaxRetransmits:   2,

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"repro/internal/config"
 	"repro/internal/fabric"
 	"repro/internal/fastpath"
 	"repro/internal/protocol"
@@ -56,17 +57,17 @@ func FuzzStateMachine(f *testing.F) {
 		ip := protocol.MakeIPv4(10, 0, 0, 2)
 		var eng *fastpath.Engine
 		nic := fab.Attach(ip, func(p *protocol.Packet) {})
-		eng = fastpath.NewEngine(nic, fastpath.Config{
-			LocalIP: ip, LocalMAC: protocol.MACForIPv4(ip), MaxCores: 1,
-		})
-		s := New(eng, Config{
+		cfg := config.Config{
+			FastPathCores: 1, SlowPathTimeout: -1, CoreTimeout: -1,
 			// Tiny payload buffers: an input can establish hundreds of
 			// flows, and the default 2×256KB per flow would turn large
 			// inputs into allocation storms.
 			RxBufSize: 4096, TxBufSize: 4096,
-			ListenBacklog: 4, Stripes: 4,
-			SynRateThreshold: 8,
-		})
+			ListenBacklog: 4, HandshakeStripes: 4,
+		}
+		eng = fastpath.NewEngine(nic, ip, cfg, nil)
+		s := New(eng, cfg, nil, nil)
+		s.synRateThreshold = 8
 		ctx := fastpath.NewContext(0, 1, 64)
 		eng.RegisterContext(ctx)
 		if err := s.Listen(80, 0, 1); err != nil {

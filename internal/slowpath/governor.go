@@ -19,7 +19,7 @@ import (
 // thresholds, publish the TX-grant clamp while rung 3 is engaged, and
 // run the LRU idle reclaimer while rung 4 is.
 func (s *Slowpath) governorTick() {
-	g := s.cfg.Gov
+	g := s.gov
 	if g == nil {
 		return
 	}

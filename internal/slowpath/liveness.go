@@ -80,7 +80,7 @@ func (s *Slowpath) sendPersistProbe(f *flowstate.Flow) {
 	window := uint16(f.RxBuf.Free() / fastpath.WindowUnit)
 	f.Unlock()
 	s.output(&protocol.Packet{
-		SrcMAC: s.eng.Config().LocalMAC, DstMAC: f.PeerMAC,
+		SrcMAC: s.eng.LocalMAC(), DstMAC: f.PeerMAC,
 		SrcIP: f.LocalIP, DstIP: f.PeerIP,
 		SrcPort: f.LocalPort, DstPort: f.PeerPort,
 		Flags: protocol.FlagACK | protocol.FlagPSH,
@@ -138,7 +138,7 @@ func (s *Slowpath) sendKeepalive(f *flowstate.Flow) {
 	window := uint16(f.RxBuf.Free() / fastpath.WindowUnit)
 	f.Unlock()
 	s.output(&protocol.Packet{
-		SrcMAC: s.eng.Config().LocalMAC, DstMAC: f.PeerMAC,
+		SrcMAC: s.eng.LocalMAC(), DstMAC: f.PeerMAC,
 		SrcIP: f.LocalIP, DstIP: f.PeerIP,
 		SrcPort: f.LocalPort, DstPort: f.PeerPort,
 		Flags: protocol.FlagACK,
@@ -160,7 +160,7 @@ func (s *Slowpath) enterTimeWait(f *flowstate.Flow) {
 	finalSeq := f.SeqNo + 1 // SND.NXT: our FIN consumed one sequence number
 	finalAck := f.AckNo     // RCV.NXT: already advanced past the peer's FIN
 	f.Unlock()
-	if g := s.cfg.Gov; g != nil {
+	if g := s.gov; g != nil {
 		if err := g.Acquire(resource.PoolTimeWait, 1); err != nil {
 			// Quarantine pool full: recycle the oldest entry rather than
 			// refusing to quarantine the newest (Linux-style tw-bucket
@@ -172,7 +172,7 @@ func (s *Slowpath) enterTimeWait(f *flowstate.Flow) {
 	}
 	s.eng.TimeWait.Insert(&flowstate.TimeWaitEntry{
 		Key: f.Key(), FinalSeq: finalSeq, FinalAck: finalAck,
-		Expiry: s.eng.NowNanos() + s.cfg.TimeWait.Nanoseconds(),
+		Expiry: s.eng.NowNanos() + s.cfg.TimeWaitDuration.Nanoseconds(),
 	})
 	recordFlow(f, telemetry.FETimeWait, finalSeq, finalAck, 0, 0)
 	s.removeFlow(f)
@@ -182,7 +182,7 @@ func (s *Slowpath) enterTimeWait(f *flowstate.Flow) {
 // out, returning their pool charges.
 func (s *Slowpath) timeWaitSweep() {
 	if n := s.eng.TimeWait.Expire(s.eng.NowNanos()); n > 0 {
-		if g := s.cfg.Gov; g != nil {
+		if g := s.gov; g != nil {
 			g.Release(resource.PoolTimeWait, int64(n))
 		}
 	}

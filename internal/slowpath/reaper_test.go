@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/fabric"
 	"repro/internal/fastpath"
 	"repro/internal/protocol"
@@ -11,8 +12,8 @@ import (
 
 // reaperCfg shortens every timescale so crash detection and reaping
 // complete in tens of milliseconds.
-func reaperCfg() Config {
-	return Config{
+func reaperCfg() config.Config {
+	return config.Config{
 		ControlInterval:  time.Millisecond,
 		AppTimeout:       40 * time.Millisecond,
 		HandshakeRTO:     10 * time.Millisecond,

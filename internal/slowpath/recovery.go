@@ -34,7 +34,7 @@ type RecoveryStats struct {
 // over the engine a previous instance crashed on, then Start it:
 //
 //	dead.Kill()
-//	ns := slowpath.New(eng, cfg)
+//	ns := slowpath.New(eng, cfg, gov, nil)
 //	rep := ns.Recover()
 //	ns.Start()
 //
@@ -68,7 +68,7 @@ func (s *Slowpath) Recover() RecoveryStats {
 	// the accept backlog is recomputed from the surviving listener
 	// gauges. Flow, payload, and context charges track engine-side state
 	// that outlived the crash, so they carry over untouched.
-	if g := s.cfg.Gov; g != nil {
+	if g := s.gov; g != nil {
 		g.Reset(resource.PoolHalfOpen, 0)
 		g.Reset(resource.PoolTimers, 0)
 		var accept int64
@@ -129,7 +129,7 @@ func (s *Slowpath) Recover() RecoveryStats {
 		// the engine and kept enforcing the crashed instance's last
 		// rate; the fresh controller restarts from its initial rate and
 		// converges from there.
-		ctrl := s.cfg.NewController()
+		ctrl := s.newCtrl()
 		if b := s.eng.Bucket(f.Bucket); b != nil {
 			b.SetRate(ctrl.Rate())
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/fabric"
 	"repro/internal/fastpath"
 	"repro/internal/protocol"
@@ -12,10 +13,10 @@ import (
 
 // restart kills a node's slow path and warm-restarts it over the same
 // engine — the production sequence (tas.Service.Restart) at this layer.
-func restart(t *testing.T, n *testNode, cfg Config) RecoveryStats {
+func restart(t *testing.T, n *testNode) RecoveryStats {
 	t.Helper()
 	n.sp.Kill()
-	ns := New(n.eng, cfg)
+	ns := New(n.eng, n.sp.cfg, n.sp.gov, n.sp.newCtrl)
 	ns.AdoptCounters(n.sp.Counters())
 	rep := ns.Recover()
 	ns.Start()
@@ -29,7 +30,7 @@ func restart(t *testing.T, n *testNode, cfg Config) RecoveryStats {
 // state for every one of them from the shared flow table.
 func TestWarmRestartReconstructsFlows(t *testing.T) {
 	fab := fabric.New()
-	cfg := Config{ControlInterval: time.Millisecond, AppTimeout: -1}
+	cfg := config.Config{ControlInterval: time.Millisecond, AppTimeout: -1}
 	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), cfg)
 	b := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 2), cfg)
 	if err := b.sp.Listen(80, 0, 42); err != nil {
@@ -51,7 +52,7 @@ func TestWarmRestartReconstructsFlows(t *testing.T) {
 		t.Fatalf("table holds %d flows before crash, want %d", pre, flows)
 	}
 
-	rep := restart(t, a, cfg)
+	rep := restart(t, a)
 	if rep.FlowsReconstructed != pre || rep.FlowsAborted != 0 {
 		t.Fatalf("recovery: %+v, want %d reconstructed, 0 aborted", rep, pre)
 	}
@@ -76,7 +77,7 @@ func TestWarmRestartReconstructsFlows(t *testing.T) {
 // was registered before the crash.
 func TestWarmRestartRebuildsListeners(t *testing.T) {
 	fab := fabric.New()
-	cfg := Config{ControlInterval: time.Millisecond, AppTimeout: -1}
+	cfg := config.Config{ControlInterval: time.Millisecond, AppTimeout: -1}
 	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), cfg)
 	b := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 2), cfg)
 	pending, err := b.sp.ListenBacklog(80, 0, 42, 16)
@@ -84,7 +85,7 @@ func TestWarmRestartRebuildsListeners(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep := restart(t, b, cfg)
+	rep := restart(t, b)
 	if rep.ListenersRebuilt != 1 {
 		t.Fatalf("recovery: %+v, want 1 listener rebuilt", rep)
 	}
@@ -111,7 +112,7 @@ func TestWarmRestartRebuildsListeners(t *testing.T) {
 // (RST, state reclaimed) instead of resuming control over garbage.
 func TestWarmRestartAbortsUnprovableFlows(t *testing.T) {
 	fab := fabric.New()
-	cfg := Config{ControlInterval: time.Millisecond, AppTimeout: -1}
+	cfg := config.Config{ControlInterval: time.Millisecond, AppTimeout: -1}
 	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), cfg)
 	b := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 2), cfg)
 	if err := b.sp.Listen(80, 0, 42); err != nil {
@@ -129,7 +130,7 @@ func TestWarmRestartAbortsUnprovableFlows(t *testing.T) {
 
 	a.ctx.MarkDead() // the app died while the control plane was down
 
-	rep := restart(t, a, cfg)
+	rep := restart(t, a)
 	if rep.FlowsReconstructed != 0 || rep.FlowsAborted != 1 {
 		t.Fatalf("recovery: %+v, want 0 reconstructed, 1 aborted", rep)
 	}
@@ -190,7 +191,7 @@ func TestReapResumesAfterGrace(t *testing.T) {
 	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), cfg)
 	a.ctx.Beat() // liveness enabled, then the app truly dies
 
-	restart(t, a, cfg)
+	restart(t, a)
 
 	deadline := time.Now().Add(2 * time.Second)
 	for a.sp.Counters().AppsReaped == 0 && time.Now().Before(deadline) {
@@ -207,7 +208,7 @@ func TestReapResumesAfterGrace(t *testing.T) {
 // the control plane back.
 func TestPanicInjectionKillsLoop(t *testing.T) {
 	fab := fabric.New()
-	cfg := Config{ControlInterval: time.Millisecond, AppTimeout: -1}
+	cfg := config.Config{ControlInterval: time.Millisecond, AppTimeout: -1}
 	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), cfg)
 	b := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 2), cfg)
 	if err := b.sp.Listen(80, 0, 42); err != nil {
@@ -232,7 +233,7 @@ func TestPanicInjectionKillsLoop(t *testing.T) {
 		t.Fatalf("Listen on dead slow path: %v, want ErrDown", err)
 	}
 
-	restart(t, a, cfg)
+	restart(t, a)
 	if _, err := a.sp.Connect(protocol.MakeIPv4(10, 0, 0, 2), 80, 0, 2); err != nil {
 		t.Fatal(err)
 	}

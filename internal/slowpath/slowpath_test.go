@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/config"
 	"repro/internal/congestion"
 	"repro/internal/fabric"
 	"repro/internal/fastpath"
@@ -18,12 +19,27 @@ type testNode struct {
 	ctx *fastpath.Context
 }
 
-func newNode(t *testing.T, fab *fabric.Fabric, ip protocol.IPv4, scfg Config) *testNode {
+func newNode(t *testing.T, fab *fabric.Fabric, ip protocol.IPv4, cfg config.Config) *testNode {
 	t.Helper()
+	return newNodeCtrl(t, fab, ip, cfg, nil)
+}
+
+// newNodeCtrl is newNode with an explicit congestion-controller factory
+// (nil = the one cfg names). The node has one fast-path core, and the
+// watchdogs stay off unless cfg arms them.
+func newNodeCtrl(t *testing.T, fab *fabric.Fabric, ip protocol.IPv4, cfg config.Config, newCtrl func() congestion.RateController) *testNode {
+	t.Helper()
+	cfg.FastPathCores = 1
+	if cfg.SlowPathTimeout == 0 {
+		cfg.SlowPathTimeout = -1
+	}
+	if cfg.CoreTimeout == 0 {
+		cfg.CoreTimeout = -1
+	}
 	var eng *fastpath.Engine
 	nic := fab.Attach(ip, func(p *protocol.Packet) { eng.Input(p) })
-	eng = fastpath.NewEngine(nic, fastpath.Config{LocalIP: ip, LocalMAC: protocol.MACForIPv4(ip), MaxCores: 1})
-	sp := New(eng, scfg)
+	eng = fastpath.NewEngine(nic, ip, cfg, nil)
+	sp := New(eng, cfg, nil, newCtrl)
 	eng.Start()
 	sp.Start()
 	t.Cleanup(func() { sp.Stop(); eng.Stop() })
@@ -49,8 +65,8 @@ func waitEvent(t *testing.T, ctx *fastpath.Context, timeout time.Duration) fastp
 
 func TestHandshakeEstablishesBothSides(t *testing.T) {
 	fab := fabric.New()
-	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), Config{})
-	b := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 2), Config{})
+	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), config.Config{})
+	b := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 2), config.Config{})
 
 	if err := b.sp.Listen(80, 0, 42); err != nil {
 		t.Fatal(err)
@@ -88,8 +104,8 @@ func TestHandshakeEstablishesBothSides(t *testing.T) {
 
 func TestConnectRefusedSendsRst(t *testing.T) {
 	fab := fabric.New()
-	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), Config{})
-	newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 2), Config{})
+	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), config.Config{})
+	newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 2), config.Config{})
 	if _, err := a.sp.Connect(protocol.MakeIPv4(10, 0, 0, 2), 81, 0, 9); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +117,7 @@ func TestConnectRefusedSendsRst(t *testing.T) {
 
 func TestListenDuplicatePort(t *testing.T) {
 	fab := fabric.New()
-	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), Config{})
+	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), config.Config{})
 	if err := a.sp.Listen(80, 0, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -117,14 +133,10 @@ func TestListenDuplicatePort(t *testing.T) {
 func TestControlLoopSetsBucketRate(t *testing.T) {
 	fab := fabric.New()
 	fixed := 12345.0
-	cfg := Config{
-		ControlInterval: time.Millisecond,
-		NewController: func() congestion.RateController {
-			return fixedRate{rate: fixed}
-		},
-	}
-	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), cfg)
-	b := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 2), cfg)
+	cfg := config.Config{ControlInterval: time.Millisecond}
+	ctrl := func() congestion.RateController { return fixedRate{rate: fixed} }
+	a := newNodeCtrl(t, fab, protocol.MakeIPv4(10, 0, 0, 1), cfg, ctrl)
+	b := newNodeCtrl(t, fab, protocol.MakeIPv4(10, 0, 0, 2), cfg, ctrl)
 	b.sp.Listen(80, 0, 1)
 	a.sp.Connect(protocol.MakeIPv4(10, 0, 0, 2), 80, 0, 1)
 	ev := waitEvent(t, a.ctx, 2*time.Second)
@@ -147,7 +159,7 @@ func (f fixedRate) Rate() float64                      { return f.rate }
 
 func TestStallTriggersRetransmission(t *testing.T) {
 	fab := fabric.New()
-	cfg := Config{ControlInterval: time.Millisecond, StallIntervals: 2}
+	cfg := config.Config{ControlInterval: time.Millisecond}
 	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), cfg)
 	b := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 2), cfg)
 	b.sp.Listen(80, 0, 1)
@@ -194,8 +206,8 @@ func TestStallTriggersRetransmission(t *testing.T) {
 
 func TestFlowRemovalOnRst(t *testing.T) {
 	fab := fabric.New()
-	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), Config{})
-	b := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 2), Config{})
+	a := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 1), config.Config{})
+	b := newNode(t, fab, protocol.MakeIPv4(10, 0, 0, 2), config.Config{})
 	b.sp.Listen(80, 0, 1)
 	a.sp.Connect(protocol.MakeIPv4(10, 0, 0, 2), 80, 0, 1)
 	ev := waitEvent(t, a.ctx, 2*time.Second)
@@ -246,8 +258,8 @@ func TestScaleLoopRespondsToLoad(t *testing.T) {
 	var eng *fastpath.Engine
 	ip := protocol.MakeIPv4(10, 0, 0, 1)
 	nic := fab.Attach(ip, func(p *protocol.Packet) { eng.Input(p) })
-	eng = fastpath.NewEngine(nic, fastpath.Config{LocalIP: ip, LocalMAC: protocol.MACForIPv4(ip), MaxCores: 4})
-	sp := New(eng, Config{ScaleInterval: 5 * time.Millisecond})
+	eng = fastpath.NewEngine(nic, ip, config.Config{FastPathCores: 4, SlowPathTimeout: -1}, nil)
+	sp := New(eng, config.Config{FastPathCores: 4, CoreTimeout: -1}, nil, nil)
 	// Don't start the engine: drive utilization synthetically through
 	// the scale loop's own inputs by pre-setting active cores.
 	eng.SetActiveCores(3)

@@ -21,7 +21,7 @@ import (
 //
 // Auto mode engages on either pressure signal: half-open occupancy at
 // half the backlog (the flood is winning the table) or SYN arrival rate
-// above SynRateThreshold (the flood is coming, regardless of how fast
+// above synRateThreshold (the flood is coming, regardless of how fast
 // entries are reaped). The verdict is sticky for a second so a
 // sawtoothing attack doesn't flap the listener between modes.
 func (s *Slowpath) cookiesEngaged(l *listener, now time.Time) bool {
@@ -40,13 +40,13 @@ func (s *Slowpath) cookiesEngaged(l *listener, now time.Time) bool {
 	// every listener stateless regardless of its local signals — a
 	// cookie handshake costs no half-open slot. Setting cookieUntil also
 	// keeps cookiesActive accepting the completing ACKs.
-	if g := s.cfg.Gov; g != nil && g.Level() >= resource.LevelCookies {
+	if g := s.gov; g != nil && g.Level() >= resource.LevelCookies {
 		g.NoteShed(resource.LevelCookies)
 		l.cookieUntil = now.Add(time.Second)
 		return true
 	}
 	if l.halfCount >= (l.backlog+1)/2 ||
-		(s.cfg.SynRateThreshold > 0 && l.synInWin > s.cfg.SynRateThreshold) {
+		(s.synRateThreshold > 0 && l.synInWin > s.synRateThreshold) {
 		l.cookieUntil = now.Add(time.Second)
 	}
 	return now.Before(l.cookieUntil)
@@ -75,7 +75,7 @@ func (s *Slowpath) cookiesActive(l *listener, now time.Time) bool {
 func (s *Slowpath) sendCookieSynAck(key protocol.FlowKey, pkt *protocol.Packet) {
 	mss := pkt.MSSOpt
 	if mss == 0 {
-		mss = uint16(s.eng.Config().MSS)
+		mss = uint16(protocol.DefaultMSS)
 	}
 	cookie := s.eng.Cookies.Issue(
 		uint32(key.LocalIP), key.LocalPort,
